@@ -116,6 +116,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        harness.check_workers(args.workers)
         config = harness.load_config(args.config)
         harness.ensure_outdir(args.out)
         return _COMMANDS[args.command](config, args.out, args.workers)

@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy import stats
 
 from . import readout
 from .errors import ConfigError
@@ -339,6 +338,12 @@ def _sweep_grid(config: ExperimentConfig) -> list[tuple[float | None, float | No
     return [(ai, af) for ai in a_in_list for af in a_fb_list]
 
 
+def check_workers(workers) -> None:
+    """Reject a worker count below 1 (a ConfigError, not a silent serial run)."""
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
+
+
 def _point_task(config, unitary_index, a_in, a_fb, lam, shots):
     return run_pipeline(config, unitary_index, a_in=a_in, a_fb=a_fb, lam=lam, shots=shots)
 
@@ -356,6 +361,7 @@ def run_ensemble(
     worker count: each task derives its own random streams and lands in a
     slot keyed by its indices.
     """
+    check_workers(workers)
     grid = _sweep_grid(config)
     jobs = [(pi, ui) for pi in range(len(grid)) for ui in range(config.n_unitaries)]
     results: dict[tuple[int, int], list[MetricReport]] = {}
@@ -508,6 +514,7 @@ def run_noise_sweep(
     config: ExperimentConfig, lambda_list=None, workers: int = 1
 ) -> dict[float, ExperimentResult]:
     """The prediction experiment repeated per depolarization strength."""
+    check_workers(workers)
     lams = config.lambda_list if lambda_list is None else list(lambda_list)
     if not lams:
         raise ConfigError("noise sweep needs a non-empty lambda_list")
@@ -537,6 +544,8 @@ def chi_square_pvalue(counts: np.ndarray, probs: np.ndarray, min_expected: float
         exp.append(pool_e)
     if len(obs) < 2:
         return 1.0
+    from scipy import stats  # imported here: it is most of the package's import time
+
     obs = np.asarray(obs)
     exp = np.asarray(exp) * obs.sum() / sum(exp)
     return float(stats.chisquare(obs, exp).pvalue)

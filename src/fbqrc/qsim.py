@@ -78,6 +78,9 @@ class RngStream:
     def integers(self, low, high=None, size=None):
         return self._gen.integers(low, high, size)
 
+    def multinomial(self, n, pvals, size=None):
+        return self._gen.multinomial(n, pvals, size)
+
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 

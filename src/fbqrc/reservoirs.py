@@ -9,22 +9,27 @@
 
 Every producer is a deterministic function of (config, inputs, seeds).
 
-Shot-based runs use a grouped trajectory engine: because every qubit is
-measured projectively each cycle, the register state entering a cycle is
-determined by the previous outcome string (or by the reset state), so at
-most 2^N distinct pre-measurement states exist per timestep. Outcomes are
-still sampled per shot; only the redundant per-shot state algebra is
-shared. `method="per_shot"` runs the literal one-trajectory-at-a-time
-loop instead and samples the same distribution.
+The proposed model runs on a count-chain engine. Every qubit is measured
+projectively each cycle and the register is then reset (or collapses onto
+the measured basis state), so the outcome string is a finite Markov chain
+over {-1, +1}^N with one input-dependent 2^N x 2^N transition kernel per
+timestep. A shot-averaged feature depends only on how many shots sit in
+each outcome string, so the engine propagates those counts: each step
+draws one multinomial per kernel row and sums the rows. This is exact in
+distribution, and its cost per step does not depend on the shot count.
+`method="per_shot"` runs the literal one-trajectory-at-a-time loop
+instead and samples the same distribution.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
+from .errors import ConfigError, NumericError
 from .qsim import (
     NoiseSpec,
     RngStream,
@@ -226,18 +231,102 @@ def _initial_state(config, rng: RngStream) -> StateVector:
     return StateVector.zero(n)
 
 
+def _feedback_product(config: ProposedModelConfig, m: np.ndarray) -> np.ndarray:
+    """Full-register product of the feedback gates R(a_fb * m[j]) on each pair."""
+    n = config.n_qubits
+    acc = np.eye(2**n, dtype=complex)
+    for j, (a, b) in enumerate(config.pairs()):
+        acc = _r_gate_full(config.a_fb * float(m[j]), a, b, n) @ acc
+    return acc
+
+
 def _feedback_unitaries(config: ProposedModelConfig) -> np.ndarray:
     """(2^N, dim, dim) stack of feedback-gate products, one per outcome string."""
+    return np.stack([_feedback_product(config, m) for m in all_strings(config.n_qubits)])
+
+
+# ZZ eigenvalue of the two-qubit basis states |00>, |01>, |10>, |11>
+_ZZ = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+def _input_gates(thetas: np.ndarray, n: int) -> np.ndarray:
+    """(T, 2^n, 2^n) stack of the coupling gate R(theta) on qubits (0, 1).
+
+    Closed form of `r_gate_matrix`: R(theta) = (Rx(theta) x Rx(theta)) .
+    diag(exp(-i theta zz / 2)), embedded as R x I because qubits 0 and 1
+    are the most significant bits. Input angles are continuous, so these
+    gates bypass the `_r_gate_full` cache, which they would only fill.
+    """
+    half = 0.5 * np.asarray(thetas, dtype=float)
+    c, s = np.cos(half), -1j * np.sin(half)
+    rx = np.stack([np.stack([c, s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    pair = np.einsum("kab,kcd->kacbd", rx, rx).reshape(-1, 4, 4)
+    pair = pair * np.exp(-1j * half[:, None, None] * _ZZ)
+    rest = 2 ** (n - 2)
+    return np.einsum("kab,cd->kacbd", pair, np.eye(rest)).reshape(-1, 2**n, 2**n)
+
+
+def _flip_matrix(n: int, lam: float) -> np.ndarray:
+    """Outcome marginal of per-qubit depolarizing noise before measurement:
+    each outcome bit flips independently with probability lam/2."""
+    strings = all_strings(n)
+    differing = (strings[:, None, :] != strings[None, :, :]).sum(axis=2)
+    p = lam / 2.0
+    return p**differing * (1.0 - p) ** (n - differing)
+
+
+def _check_engine_memory(n_qubits: int, steps: int) -> None:
+    """Reject a run whose engine arrays cannot fit in physical memory.
+
+    The engine holds the (2^N, 2^N, 2^N) cycle-unitary stack and the
+    (T, 2^N, 2^N) kernel stack as complex128: 16 * (8^N + T * 4^N) bytes.
+    """
+    need = 16 * (8**n_qubits + steps * 4**n_qubits)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            f"n_qubits={n_qubits} over {steps} steps needs about {need / 2**30:.1f} GiB "
+            f"for the shot engine; this machine has {have / 2**30:.1f} GiB"
+        )
+
+
+def _cycle_kernels(
+    config: ProposedModelConfig, values: np.ndarray, u_haar: np.ndarray, psi0: StateVector
+) -> np.ndarray:
+    """(T, 2^N, 2^N) row-stochastic kernels K_k[m, m'] = P(outcome m' | string m).
+
+    K_k[m, :] = |U F_m R_in(a_in s_k) start_m|^2, where F_m is the feedback
+    product of string m and start_m is |0...0> with resets and the basis
+    state e_m without them; step 0 starts every row in psi0. With noise,
+    each kernel is composed with the lam/2 outcome bit-flip matrix.
+    """
     n = config.n_qubits
     dim = 2**n
-    pairs = config.pairs()
-    strings = all_strings(n)
-    out = np.empty((dim, dim, dim), dtype=complex)
-    for mi in range(dim):
-        acc = np.eye(dim, dtype=complex)
-        for j, (a, b) in enumerate(pairs):
-            acc = _r_gate_full(config.a_fb * float(strings[mi, j]), a, b, n) @ acc
-        out[mi] = acc
+    cycle_units = u_haar @ _feedback_unitaries(config)  # (2^N, dim, dim): U F_m
+    rin = _input_gates(config.a_in * values, n)
+    if config.reset_after_measurement:
+        entry = np.repeat(rin[:, :, :1], dim, axis=2)  # column m: R_in start_m
+    else:
+        entry = rin.copy()
+    entry[0] = (rin[0] @ psi0.amplitudes)[:, None]
+    # psi[k, m] = cycle_units[m] @ entry[k, :, m], as one batched matmul over m
+    psi = (cycle_units @ entry.transpose(2, 1, 0)).transpose(2, 0, 1)
+    kernels = np.abs(psi) ** 2
+    if config.noise.enabled:
+        kernels = kernels @ _flip_matrix(n, config.noise.lam)
+    totals = kernels.sum(axis=2, keepdims=True)
+    if not np.all(np.abs(totals - 1.0) <= 1e-9):
+        worst = float(np.max(np.abs(totals - 1.0)))
+        raise NumericError(f"cycle kernel rows are not normalized: max |sum - 1| = {worst:.3g}")
+    return kernels / totals
+
+
+def _count_chain(kernels: np.ndarray, counts: np.ndarray, rng: RngStream) -> np.ndarray:
+    """(T, 2^N) outcome counts: row k is sum_m Multinomial(counts_{k-1}[m], K_k[m, :])."""
+    out = np.empty(kernels.shape[:2], dtype=np.int64)
+    for k, kernel in enumerate(kernels):
+        counts = rng.multinomial(counts, kernel).sum(axis=0)
+        out[k] = counts
     return out
 
 
@@ -248,39 +337,11 @@ def _run_grouped(
     psi0: StateVector,
     m_idx: np.ndarray,
     measure_rng: RngStream,
-    noise_rng: RngStream,
 ) -> np.ndarray:
-    n = config.n_qubits
-    dim = 2**n
-    shots = len(m_idx)
-    strings = all_strings(n).astype(float)
-    cycle_units = u_haar @ _feedback_unitaries(config)  # (2^N, dim, dim)
-    e0 = np.zeros(dim, dtype=complex)
-    e0[0] = 1.0
-    # bit weights for folding per-qubit noise flips into the outcome index
-    flip_weights = 1 << np.arange(n - 1, -1, -1)
-
-    features = np.empty((len(values), n))
-    for k, s in enumerate(values):
-        rin = _r_gate_full(config.a_in * float(s), 0, 1, n)
-        if k == 0:
-            psi = cycle_units @ (rin @ psi0.amplitudes)
-        elif config.reset_after_measurement:
-            psi = cycle_units @ (rin @ e0)
-        else:
-            # trajectory entering string m starts in basis state e_m
-            psi = np.einsum("mij,jm->mi", cycle_units, rin)
-        probs = np.abs(psi) ** 2
-        cum = np.cumsum(probs, axis=1)
-        rows = cum[m_idx]
-        u = measure_rng.random(shots) * rows[:, -1]
-        outcome = np.minimum((rows < u[:, None]).sum(axis=1), dim - 1)
-        if config.noise.enabled:
-            flips = noise_rng.random((shots, n)) < (config.noise.lam / 2.0)
-            outcome = outcome ^ (flips @ flip_weights)
-        features[k] = strings[outcome].mean(axis=0)
-        m_idx = outcome
-    return features
+    strings = all_strings(config.n_qubits).astype(float)
+    kernels = _cycle_kernels(config, values, u_haar, psi0)
+    counts = _count_chain(kernels, np.bincount(m_idx, minlength=len(strings)), measure_rng)
+    return counts @ strings / len(m_idx)
 
 
 def _run_per_shot(
@@ -317,28 +378,31 @@ def run_proposed_model(
 ) -> FeatureSeries:
     """Shot-averaged Z-outcome series of the feedback model.
 
-    Runs `config.shots` independent trajectories over the whole input
-    sequence; each trajectory draws its own initial feedback string
-    uniformly from {-1, +1}^N. Row k, column n is the shot mean of qubit
-    n's outcome in cycle k. One Haar unitary per model instance, fixed
-    across the sequence (pass `u_haar` to pin it explicitly).
+    Simulates `config.shots` independent trajectories over the whole input
+    sequence; each draws its own initial feedback string uniformly from
+    {-1, +1}^N. Row k, column n is the shot mean of qubit n's outcome in
+    cycle k. One Haar unitary per model instance, fixed across the sequence
+    (pass `u_haar` to pin it explicitly). The default engine propagates
+    outcome counts through the per-step transition kernels;
+    `method="per_shot"` runs every trajectory literally.
     """
     values = _input_values(inputs)
     if values.min() < -1e-12 or values.max() > 1 + 1e-12:
         raise ValueError("model inputs must lie in [0, 1]")
+    if method == "grouped":
+        _check_engine_memory(config.n_qubits, len(values))
+    elif method != "per_shot":
+        raise ValueError(f"unknown method '{method}'")
     if u_haar is None:
         u_haar = model_unitary(config)
     init_rng = rng.child("init")
     measure_rng = rng.child("measure")
-    noise_rng = rng.child("noise")
     psi0 = _initial_state(config, init_rng)
     m_idx = init_rng.integers(0, 2**config.n_qubits, size=config.shots)
     if method == "grouped":
-        feats = _run_grouped(config, values, u_haar, psi0, m_idx, measure_rng, noise_rng)
-    elif method == "per_shot":
-        feats = _run_per_shot(config, values, u_haar, psi0, m_idx, measure_rng, noise_rng)
+        feats = _run_grouped(config, values, u_haar, psi0, m_idx, measure_rng)
     else:
-        raise ValueError(f"unknown method '{method}'")
+        feats = _run_per_shot(config, values, u_haar, psi0, m_idx, measure_rng, rng.child("noise"))
     return FeatureSeries(feats)
 
 
@@ -352,8 +416,10 @@ def sample_cycle_outcomes(
 ) -> np.ndarray:
     """Outcome indices of `shots` single-cycle runs with a fixed feedback string.
 
-    Uses the grouped engine's matrix composition (noiseless, |0...0> start);
-    the per-shot loop over run_proposed_cycle samples the same distribution.
+    Composes the cycle as the count-chain engine does (closed-form input
+    gate, feedback product, Haar unitary; noiseless, |0...0> start) and
+    draws each shot's outcome from the resulting Born distribution. The
+    per-shot loop over run_proposed_cycle samples the same distribution.
     """
     if config.noise.enabled:
         raise ValueError("cycle sampling helper supports noiseless cycles only")
@@ -361,10 +427,8 @@ def sample_cycle_outcomes(
     m_prev = np.asarray(m_prev)
     if m_prev.shape != (n,):
         raise ValueError(f"feedback string has length {m_prev.shape}, expected {n}")
-    mat = _r_gate_full(config.a_in * float(s_k), 0, 1, n)
-    for j, (a, b) in enumerate(config.pairs()):
-        mat = _r_gate_full(config.a_fb * float(m_prev[j]), a, b, n) @ mat
-    psi = (u_haar @ mat)[:, 0]  # action on |0...0>
+    rin = _input_gates(np.array([config.a_in * float(s_k)]), n)[0]
+    psi = u_haar @ _feedback_product(config, m_prev) @ rin[:, 0]  # action on |0...0>
     return sample_measurements(StateVector(n, psi), shots, rng)
 
 

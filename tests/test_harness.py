@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from fbqrc import harness
 from fbqrc.cli import main as cli_main
 from fbqrc.errors import ConfigError
 from fbqrc.harness import (
@@ -216,6 +217,26 @@ def test_ensemble_worker_counts_agree(tmp_path):
         write_results_csv(path, result.records)
         outs.append(path.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_worker_count_must_be_positive(workers, tmp_path, monkeypatch):
+    """A worker count below 1 is refused before any job or process starts."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started despite an invalid worker count")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(harness, "_point_task", refuse)
+    cfg = small_config(task={"name": "ising"}, tau_list=[1], n_unitaries=2)
+    with pytest.raises(ConfigError):
+        run_ensemble(cfg, workers=workers)
+    with pytest.raises(ConfigError):
+        run_noise_sweep(cfg, lambda_list=[0.0], workers=workers)
+    path = write_cfg(tmp_path, "esp.json", {"model": "esn", "model_params": {"dim": 20}})
+    for command in ("stm", "esp"):
+        out = str(tmp_path / command)
+        assert cli_main([command, "--config", path, "--out", out, "--workers", str(workers)]) == 2
 
 
 def test_capacity_by_point_matches_manual_sum():

@@ -1,14 +1,19 @@
 """Tests for the reservoir architectures.
 
-The shot-based engine is validated against exact finite-state chain
+The count-chain engine is validated against exact finite-state chain
 oracles built locally in this file (including noisy and no-reset
 variants), and the literal per-trajectory path is cross-checked against
-the grouped production path.
+the same oracles.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fbqrc.errors import ConfigError, NumericError
 from fbqrc.metrics import esp_divergence
 from fbqrc.oracle import exact_feature_series_markov, transition_kernel
 from fbqrc.qsim import (
@@ -27,6 +32,10 @@ from fbqrc.reservoirs import (
     FeedbackDrivenConfig,
     McmBaselineConfig,
     ProposedModelConfig,
+    _count_chain,
+    _cycle_kernels,
+    _input_gates,
+    _r_gate_full,
     _run_mcm,
     model_unitary,
     renormalize_spectral_radius,
@@ -164,15 +173,9 @@ def test_model_haar_initial_state_matches_oracle():
     assert_within_sigma(feats.values, exact.values, cfg.shots)
 
 
-def test_no_reset_model_matches_local_chain_oracle():
+def no_reset_kernels(a_in, a_fb, u, inputs):
     """Noiseless no-reset trajectories are still a finite-state chain: the
     register entering a cycle is the previous outcome's basis state."""
-    a_in, a_fb = 1.0, 1.6
-    cfg = ProposedModelConfig(
-        n_qubits=2, a_in=a_in, a_fb=a_fb, shots=20_000, reset_after_measurement=False
-    )
-    u = haar_random_unitary(4, RngStream(17))
-    inputs = np.array([0.4, 0.7, 0.2, 0.9])
 
     def cycle_state(s, m, start):
         st = StateVector(2, start.copy())
@@ -189,7 +192,17 @@ def test_no_reset_model_matches_local_chain_oracle():
             start = e[0] if k == 0 else e[mi]
             kern[mi] = cycle_state(float(s), m, start)
         kernels.append(kern)
-    exact = chain_features(kernels, STRINGS2)
+    return kernels
+
+
+def test_no_reset_model_matches_local_chain_oracle():
+    a_in, a_fb = 1.0, 1.6
+    cfg = ProposedModelConfig(
+        n_qubits=2, a_in=a_in, a_fb=a_fb, shots=20_000, reset_after_measurement=False
+    )
+    u = haar_random_unitary(4, RngStream(17))
+    inputs = np.array([0.4, 0.7, 0.2, 0.9])
+    exact = chain_features(no_reset_kernels(a_in, a_fb, u, inputs), STRINGS2)
 
     feats = run_proposed_model(cfg, inputs, RngStream(18), u_haar=u)
     assert_within_sigma(feats.values, exact, cfg.shots)
@@ -224,6 +237,91 @@ def test_noisy_per_shot_path_matches_flip_composed_kernel():
 
     feats = run_proposed_model(cfg, inputs, RngStream(22), u_haar=u, method="per_shot")
     assert_within_sigma(feats.values, exact, cfg.shots)
+
+
+@pytest.mark.parametrize("method,shots", [("grouped", 40_000), ("per_shot", 2000)])
+def test_noisy_no_reset_model_matches_flip_composed_local_chain(method, shots):
+    """Without resets the next cycle starts in the basis state of the noisy
+    outcome, so the exact chain is the no-reset kernel times the flip matrix."""
+    a_in, a_fb, lam = 1.0, 1.6, 0.15
+    cfg = ProposedModelConfig(
+        n_qubits=2, a_in=a_in, a_fb=a_fb, shots=shots, noise=NoiseSpec(lam, True),
+        reset_after_measurement=False,
+    )
+    u = haar_random_unitary(4, RngStream(45))
+    inputs = np.array([0.35, 0.8, 0.05, 0.6])
+    flips = flip_matrix(2, lam)
+    exact = chain_features([k @ flips for k in no_reset_kernels(a_in, a_fb, u, inputs)], STRINGS2)
+
+    feats = run_proposed_model(cfg, inputs, RngStream(46), u_haar=u, method=method)
+    assert_within_sigma(feats.values, exact, cfg.shots)
+
+
+# ---------------------------------------------------------------------------
+# Count-chain engine internals
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_input_gate_stack_matches_cached_embedding(n):
+    thetas = np.array([0.0, 0.37, -0.37, 1.9, -2.6, 3.0])
+    stack = _input_gates(thetas, n)
+    assert stack.shape == (len(thetas), 2**n, 2**n)
+    for theta, gate in zip(thetas, stack):
+        assert np.allclose(gate, _r_gate_full(float(theta), 0, 1, n), atol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 3),
+    a_in=st.floats(-3.0, 3.0),
+    a_fb=st.floats(-3.0, 3.0),
+    reset=st.booleans(),
+    lam=st.one_of(st.none(), st.floats(0.0, 0.9)),
+    inputs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+    shots=st.integers(1, 3000),
+    seed=st.integers(0, 2**32),
+)
+def test_count_chain_invariants(n, a_in, a_fb, reset, lam, inputs, shots, seed):
+    """Every kernel row is a probability vector and every step keeps all shots."""
+    cfg = ProposedModelConfig(
+        n_qubits=n, a_in=a_in, a_fb=a_fb, shots=shots, haar_seed=RngStream(seed, 1),
+        noise=NoiseSpec() if lam is None else NoiseSpec(lam, True),
+        reset_after_measurement=reset,
+    )
+    values = np.array(inputs)
+    psi0 = StateVector.haar_random(n, RngStream(seed, 2))
+    kernels = _cycle_kernels(cfg, values, model_unitary(cfg), psi0)
+    assert kernels.shape == (len(values), 2**n, 2**n)
+    assert np.all(kernels >= 0)
+    assert np.allclose(kernels.sum(axis=2), 1.0, rtol=0, atol=1e-12)
+
+    start = np.bincount(RngStream(seed, 3).integers(0, 2**n, size=shots), minlength=2**n)
+    counts = _count_chain(kernels, start, RngStream(seed, 4))
+    assert counts.shape == (len(values), 2**n)
+    assert np.all(counts >= 0)
+    assert np.all(counts.sum(axis=1) == shots)
+
+
+def test_engine_rejects_unnormalized_kernels():
+    """A non-unitary scrambler breaks the Born rule: the engine raises
+    rather than renormalizing the kernel rows."""
+    cfg = ProposedModelConfig(n_qubits=2, shots=10)
+    with pytest.raises(NumericError):
+        run_proposed_model(cfg, np.array([0.5, 0.2]), RngStream(47), u_haar=1.01 * np.eye(4))
+
+
+def test_engine_refuses_register_beyond_memory():
+    """N=12 needs 16 * 8^12 bytes (1 TiB) for the cycle-unitary stack alone:
+    refused before the Haar unitary or any engine array is allocated."""
+    cfg = ProposedModelConfig(n_qubits=12, shots=10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="n_qubits=12"):
+            run_proposed_model(cfg, np.array([0.5, 0.1]), RngStream(48))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_model_input_domain_enforced():
